@@ -4,8 +4,8 @@ Drives a live server into overload — more concurrent requests than
 ``max_concurrent`` execution slots — and checks the two promises the
 admission controller makes:
 
-* **priority shaping works**: under 4x overload, the p50 latency of
-  admitted high-priority requests is at least 2x better than the
+* **priority shaping works**: under 4x overload, the p50 queue wait
+  of admitted high-priority requests is at least 2x better than the
   same workload served FIFO (everyone at equal priority, so the
   grant order degenerates to arrival order);
 * **shedding is cheap**: a request rejected by the controller fails
@@ -17,6 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 
 import pytest
 
@@ -84,6 +85,50 @@ def run_flood(port, questions, *, stagger=0.005):
         return [future.result() for future in futures]
 
 
+def gated_flood(server, questions):
+    """Run ``questions`` as one flood that is wholly queued before any
+    of it executes; return ``(latencies, waits)``.
+
+    Every execution slot is held while the flood arrives, so the
+    grant order alone — what the admission controller decides —
+    sets who runs first once the slots open.  ``waits`` maps each
+    question's tenant to the queue waits of its requests, measured
+    from the moment the slots open: once a request holds a slot, its
+    run time depends on how many others share the CPUs and the GIL,
+    which the grant order does not control.
+    """
+    controller = server.admission
+    slot = controller.slot
+    grants = []
+
+    @contextmanager
+    def timed_slot(*, priority=0, tenant=None):
+        with slot(priority=priority, tenant=tenant):
+            grants.append((tenant, time.perf_counter()))
+            yield
+
+    controller.slot = timed_slot
+    try:
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            with ExitStack() as held:
+                for _ in range(SLOTS):
+                    held.enter_context(slot())
+                flood = runner.submit(run_flood, server.port, questions)
+                deadline = time.monotonic() + 60
+                while controller.describe()["queued"] < len(questions):
+                    assert time.monotonic() < deadline, "never queued"
+                    assert not flood.done(), flood.result()
+                    time.sleep(0.005)
+                opened = time.perf_counter()
+            latencies = flood.result()
+    finally:
+        del controller.slot
+    waits = {}
+    for tenant, granted in grants:
+        waits.setdefault(tenant, []).append(granted - opened)
+    return latencies, waits
+
+
 def p50(values):
     ordered = sorted(values)
     return ordered[len(ordered) // 2]
@@ -94,15 +139,23 @@ def test_priority_shaping_beats_fifo_under_overload(registry,
     """4x overload: N_HIGH urgent requests ride in a flood of
     background ones.  With every request at equal priority the
     bounded queue drains in arrival order (FIFO); with priorities
-    the urgent requests jump the queue.  p50(high | shaped) must be
-    >= 2x better than p50(high | FIFO)."""
+    the urgent requests jump the queue.  The p50 queue wait of the
+    urgent requests must be >= 2x better shaped than FIFO.
+
+    Queue wait, not end-to-end latency, is compared: an admitted
+    request shares the CPUs and the GIL with the other granted
+    slots, so on a host with fewer CPUs than slots its run time
+    swamps what the grant order saved."""
     total = SLOTS * OVERLOAD
     # The urgent requests sit at the BACK of the arrival order —
     # the worst case for FIFO, the shaped case must rescue them.
+    # Their tenant tag only labels their queue waits: no quota is
+    # configured, so it changes no grant.
     low = [make_typed(catalogue, j) for j in range(total - N_HIGH)]
-    high_fifo = [make_typed(catalogue, 500 + j)
+    high_fifo = [make_typed(catalogue, 500 + j, tenant="urgent")
                  for j in range(N_HIGH)]
-    high_shaped = [make_typed(catalogue, 500 + j, priority=10)
+    high_shaped = [make_typed(catalogue, 500 + j, priority=10,
+                              tenant="urgent")
                    for j in range(N_HIGH)]
 
     server = create_server(registry, max_concurrent=SLOTS,
@@ -116,22 +169,26 @@ def test_priority_shaping_beats_fifo_under_overload(registry,
         warm = ServiceClient(port=server.port)
         assert warm.ask("bench", low[0], seed=999).ok
 
-        fifo_lat = run_flood(server.port, low + high_fifo)
-        shaped_lat = run_flood(server.port, low + high_shaped)
+        fifo_lat, fifo = gated_flood(server, low + high_fifo)
+        shaped_lat, shaped = gated_flood(server, low + high_shaped)
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
 
-    fifo_high = p50(fifo_lat[-N_HIGH:])
-    shaped_high = p50(shaped_lat[-N_HIGH:])
-    print(f"\nhigh-priority p50 under {OVERLOAD}x overload: "
+    fifo_waits, shaped_waits = fifo["urgent"], shaped["urgent"]
+    assert len(fifo_waits) == len(shaped_waits) == N_HIGH
+    fifo_high = p50(fifo_waits)
+    shaped_high = p50(shaped_waits)
+    print(f"\nhigh-priority queue wait p50 under {OVERLOAD}x overload: "
           f"FIFO {fifo_high * 1000:.1f}ms  "
           f"shaped {shaped_high * 1000:.1f}ms  "
-          f"improvement {fifo_high / shaped_high:.1f}x")
+          f"improvement {fifo_high / max(shaped_high, 1e-9):.1f}x  "
+          f"(latency p50 FIFO {p50(fifo_lat[-N_HIGH:]) * 1000:.1f}ms, "
+          f"shaped {p50(shaped_lat[-N_HIGH:]) * 1000:.1f}ms)")
     assert shaped_high * 2 <= fifo_high, (
         f"priority shaping gained only "
-        f"{fifo_high / shaped_high:.2f}x (need >= 2x)")
+        f"{fifo_high / max(shaped_high, 1e-9):.2f}x (need >= 2x)")
 
 
 def test_shed_requests_fail_fast(registry, catalogue):

@@ -93,6 +93,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -455,8 +456,7 @@ def _cmd_serve(args) -> int:
     # off the signal frame: the handler interrupts serve_forever's
     # own poll loop, which shutdown() waits on.
     def _drain(signum, frame):
-        print(f"received {signal.Signals(signum).name}, draining...",
-              flush=True)
+        _status(f"received {signal.Signals(signum).name}, draining...")
         threading.Thread(target=server.shutdown, daemon=True).start()
 
     signal.signal(signal.SIGTERM, _drain)
@@ -467,8 +467,21 @@ def _cmd_serve(args) -> int:
         pass
     finally:
         server.server_close()
-    print("server stopped", flush=True)
+    _status("server stopped")
     return 0
+
+
+def _status(line: str) -> None:
+    """Print a daemon status line.  A reader that went away (a closed
+    stdout pipe) must not abort the drain: stdout is pointed at
+    ``os.devnull`` instead, so neither this nor the interpreter's
+    exit-time flush of the unwritten line raises again."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _parse_ids(raw: str) -> list[int]:

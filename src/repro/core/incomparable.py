@@ -13,6 +13,15 @@ points ``q' ∈ [q_min, q]``.  Because every such ``q'`` is component-wise
 superset valid for the whole box; per-sample partitions are then pure
 vectorized NumPy over the cached candidate array
 (:class:`IncomparableCache`).
+
+Both entry points also accept the raw point array instead of a tree:
+the candidates are then found by one column-wise dominance-mask scan
+(:func:`~repro.geometry.dominance.dominated_by_mask`) and come back
+id-sorted.  The serving path (:meth:`repro.engine.context
+.DatasetContext.box_cache`) uses the scan — in memory at low ``d`` a
+product near the top is incomparable with most of the catalogue, so
+the traversal prunes little and pays Python per node — while the
+traversal stays for the paper's node-access figures.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.dominance import dominance_partition
+from repro.geometry.dominance import dominance_partition, dominated_by_mask
 from repro.index.rtree import RTree
 
 
@@ -107,8 +116,9 @@ class IncomparableCache:
     """Reusable ``FindIncom`` for all query points in the box
     ``[lower, q]``.
 
-    One R-tree traversal w.r.t. the box's *upper* corner ``q`` collects
-    every point not dominated by ``q`` — a superset of the points
+    One R-tree traversal (or, given the point array, one mask scan)
+    w.r.t. the box's *upper* corner ``q`` collects every point not
+    dominated by ``q`` — a superset of the points
     relevant to any ``q'`` with ``q' <= q`` (see module docstring).
     :meth:`partition` then classifies the cached candidates against a
     specific ``q'`` with two vectorized comparisons.
@@ -126,9 +136,8 @@ class IncomparableCache:
         else:
             pts = np.atleast_2d(np.asarray(source, dtype=np.float64))
             # Pre-filter: points dominated by q never matter in the box.
-            dominated = (np.all(pts >= self.q, axis=1)
-                         & np.any(pts > self.q, axis=1))
-            self.candidate_ids = np.nonzero(~dominated)[0]
+            self.candidate_ids = np.flatnonzero(
+                ~dominated_by_mask(pts, self.q))
             self.candidates = pts[self.candidate_ids]
             self.tree_traversals = 0
 

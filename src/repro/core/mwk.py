@@ -142,10 +142,11 @@ class MWKStepper:
         rng = rng if rng is not None else np.random.default_rng(0)
         # Canonical (id-sorted) incomparable order: a FindIncom
         # partition's traversal order depends on how the R-tree was
-        # built or patched, and the hyperplane sampler indexes into
-        # this array — sorting makes the answer a function of the
-        # incomparable *set*, so inherited (copy-on-write) partitions
-        # answer identically to a scratch rebuild.
+        # built or patched, and the hyperplane sampler (and the
+        # capped rank count, which scores I in this order) indexes
+        # into this array — sorting makes the answer a function of
+        # the incomparable *set*, so inherited (copy-on-write)
+        # partitions answer identically to a scratch rebuild.
         self._inc_points = points[np.sort(
             np.asarray(inc.incomparable_ids))]
         self._dom_points = points[inc.dominating_ids]
@@ -201,11 +202,13 @@ class MWKStepper:
         chunk = int(chunk)
         if self._stream is not None and chunk > 0:
             draw = self._stream.take(chunk)
-            ranks = ranks_under_weights(draw, self._inc_points,
-                                        self._dom_points, self._q)
-            self.samples_examined += len(draw)
             # Prune beyond k'_max (Algorithm 2 line 13): the pure-k
-            # seed always beats those candidates.
+            # seed always beats those candidates, so their ranks are
+            # only counted far enough to exceed the cap.
+            ranks = ranks_under_weights(draw, self._inc_points,
+                                        self._dom_points, self._q,
+                                        cap=self._k_max)
+            self.samples_examined += len(draw)
             keep = ranks <= self._k_max
             if keep.any():
                 kept = draw[keep]

@@ -109,14 +109,18 @@ def sample_weights_on_hyperplanes(incomparable_points, q, size: int,
     anchor_arr = (None if anchors is None
                   else np.atleast_2d(np.asarray(anchors,
                                                 dtype=np.float64)))
-    culprits: list[np.ndarray] = []
     if anchor_arr is not None:
         # Culprit planes per anchor: incomparable points scoring below
-        # q under that anchor (g = w . (p - q) < 0).
+        # q under that anchor (g = w . (p - q) < 0), stored flat with
+        # per-anchor offsets so a whole batch picks in one call.
         g_anchor = diffs @ anchor_arr.T            # (|I|, m)
+        culprits = []
         for j in range(anchor_arr.shape[0]):
             idx = np.nonzero(g_anchor[:, j] < 0)[0]
             culprits.append(idx if len(idx) else np.arange(len(diffs)))
+        pool_sizes = np.array([len(idx) for idx in culprits])
+        pool_starts = np.cumsum(pool_sizes) - pool_sizes
+        pools = np.concatenate(culprits)
     out = np.empty((size, d))
     filled = 0
     for _ in range(_MAX_ROUNDS):
@@ -133,9 +137,10 @@ def sample_weights_on_hyperplanes(incomparable_points, q, size: int,
             which = rng.integers(0, len(anchor_arr),
                                  size=len(anchored))
             u[anchored] = anchor_arr[which]
-            for pos, j in zip(anchored, which):
-                pool = culprits[j]
-                plane_idx[pos] = pool[rng.integers(0, len(pool))]
+            # One bounded draw per anchored sample, in order: the same
+            # generator stream as a draw-by-draw loop.
+            picks = rng.integers(0, pool_sizes[which])
+            plane_idx[anchored] = pools[pool_starts[which] + picks]
         plane = diffs[plane_idx]
         gu = np.einsum("ij,ij->i", u, plane)
         gv = np.einsum("ij,ij->i", v, plane)
@@ -305,7 +310,8 @@ def sample_query_points(q_min, q, size: int,
 
 
 def ranks_under_weights(weights, incomparable_points, dominating, q, *,
-                        chunk_floats: int = CHUNK_FLOATS) -> np.ndarray:
+                        chunk_floats: int = CHUNK_FLOATS,
+                        cap: int | None = None) -> np.ndarray:
     """Rank of ``q`` under each weighting vector, from a FindIncom
     partition.
 
@@ -324,6 +330,11 @@ def ranks_under_weights(weights, incomparable_points, dominating, q, *,
         identical unless a dominating point's score gap to ``q`` is
         below ``RANK_EPS``, which real-valued data essentially never
         produces).
+    cap:
+        Optional rank cap (MWK passes ``k'max``): ranks ``<= cap``
+        are exact, larger ones only promise to exceed ``cap``, and
+        the incomparable points are counted in id order only until a
+        weight row passes it.
 
     The tie tolerance (``RANK_EPS``) matches
     :func:`repro.topk.scan.rank_of_scan` exactly, so ranks computed
@@ -333,4 +344,4 @@ def ranks_under_weights(weights, incomparable_points, dominating, q, *,
     """
     return ranks_batch(weights, incomparable_points, q,
                        dominating=dominating,
-                       chunk_floats=chunk_floats)
+                       chunk_floats=chunk_floats, cap=cap)

@@ -239,7 +239,8 @@ class Catalogue:
                              f"ids, got {ids!r}") from None
         if wanted.size == 0:
             raise ValueError("ids must be non-empty")
-        if len(np.unique(wanted)) != len(wanted):
+        ordered = np.sort(wanted)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("ids must not contain duplicates")
         # self._ids is strictly increasing (append-only id assignment,
         # removal preserves order), so membership is a searchsorted.

@@ -7,7 +7,7 @@ expensive per-catalogue artifacts every time:
 
 * the **R-tree** over ``P`` (index construction), and
 * the **FindIncom** dominance partition for each query point (one
-  branch-and-bound traversal per ``q``).
+  dominance-mask scan of ``P`` per ``q``).
 
 A :class:`DatasetContext` is the immutable home of one catalogue plus
 lazily-built, cached derivations of it.  Everything downstream —
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.incomparable import IncomparableCache, IncomparableResult
 from repro.geometry.dominance import dominated_by_mask
-from repro.index.rtree import RTree, compacted_row_map
+from repro.index.rtree import RTree, compacted_row_map, sorted_unique_rows
 
 #: Default bound on the per-``q`` caches.  Generous enough that a
 #: single-catalogue batch run never evicts (the existing tests and
@@ -50,7 +50,9 @@ class ContextStats:
     """Cache-effectiveness counters of one :class:`DatasetContext`.
 
     ``tree_builds`` and ``findincom_traversals`` count the expensive
-    work actually performed; ``partition_hits`` and
+    work actually performed (one ``findincom_traversals`` per
+    ``FindIncom`` computed, now a mask scan rather than an R-tree
+    traversal); ``partition_hits`` and
     ``box_cache_hits`` count the traversals *avoided* by the
     per-``q`` caches (MWK's exact partitions and MQWK's box caches
     respectively).  ``partition_evictions`` and
@@ -296,9 +298,9 @@ class DatasetContext:
     def partition(self, q) -> IncomparableResult:
         """Cached ``FindIncom`` partition for the query point ``q``.
 
-        The first request for a given ``q`` performs one R-tree
-        traversal (via :class:`IncomparableCache`, so MQWK's box reuse
-        rides the same artifact); repeated requests — the same product
+        The first request for a given ``q`` performs one ``FindIncom``
+        scan (via :meth:`box_cache`, so MQWK's box reuse rides the
+        same artifact); repeated requests — the same product
         asked about by different customer sets — are LRU hits.  The
         cache holds at most ``max_partitions`` entries.
         """
@@ -324,9 +326,13 @@ class DatasetContext:
     def box_cache(self, q) -> IncomparableCache:
         """Cached :class:`IncomparableCache` for the box ``[0, q]``.
 
-        One traversal serves every sample query point ``q' <= q`` —
-        the paper's Section 4.4 reuse technique, now also shared
-        *across* questions with the same ``q``.
+        One ``FindIncom`` serves every sample query point ``q' <= q``
+        — the paper's Section 4.4 reuse technique, now also shared
+        *across* questions with the same ``q``.  It is a dominance-
+        mask scan of the point array, not the paper's R-tree
+        traversal: in memory at low ``d`` the traversal prunes little
+        and pays Python per node, while the scan finds the same
+        candidate set, id-sorted, in a few numpy passes.
         """
         key = self._key(q)
         with self._lock:
@@ -335,13 +341,12 @@ class DatasetContext:
                 self._box_caches.move_to_end(key)
                 self.stats.box_cache_hits += 1
                 return cached
-        tree = self.tree
-        cache = IncomparableCache(tree, q)
+        cache = IncomparableCache(self.points, q)
         with self._lock:
-            # The traversal was performed either way, so count it even
+            # The scan was performed either way, so count it even
             # when another thread won the race and ours is discarded —
             # stats record work done, not cache contents.
-            self.stats.findincom_traversals += cache.tree_traversals
+            self.stats.findincom_traversals += 1
             existing = self._box_caches.get(key)
             if existing is not None:
                 self._box_caches.move_to_end(key)
@@ -407,17 +412,15 @@ class DatasetContext:
             constructor).
         """
         new_pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        removed = np.unique(np.asarray(removed_rows,
-                                       dtype=np.int64).reshape(-1))
-        updated = np.unique(np.asarray(updated_rows,
-                                       dtype=np.int64).reshape(-1))
+        removed = sorted_unique_rows(removed_rows)
+        updated = sorted_unique_rows(updated_rows)
         appended = int(appended)
         for label, rows in (("removed_rows", removed),
                             ("updated_rows", updated)):
             if len(rows) and (rows[0] < 0 or rows[-1] >= self.n):
                 raise ValueError(f"{label} must index rows of this "
                                  f"snapshot (0..{self.n - 1})")
-        if np.intersect1d(removed, updated).size:
+        if np.intersect1d(removed, updated, assume_unique=True).size:
             raise ValueError("removed_rows and updated_rows must be "
                              "disjoint")
         if appended < 0:

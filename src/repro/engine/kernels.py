@@ -34,6 +34,14 @@ RANK_EPS = 1e-12
 #: Default float budget per score block (64 MB of float64).
 CHUNK_FLOATS = 8_000_000
 
+#: Points scored per step of capped rank counting: how often a weight
+#: row whose rank already exceeds the cap can be retired.
+CAP_BLOCK_ROWS = 2048
+
+#: Score scratch of one capped rank call (4 MB of float64, plus as
+#: many booleans); bounds how many weight rows are scored together.
+CAP_SCRATCH_FLOATS = 1 << 19
+
 
 def _as2d(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -205,7 +213,8 @@ def rank_of(points, w, q, *, eps: float = RANK_EPS) -> int:
 
 def ranks_batch(weights, points, q, *, dominating=0,
                 eps: float = RANK_EPS,
-                chunk_floats: int = CHUNK_FLOATS) -> np.ndarray:
+                chunk_floats: int = CHUNK_FLOATS,
+                cap: int | None = None) -> np.ndarray:
     """Rank of ``q`` under every weight row, vectorized and chunked.
 
     ``rank(q, w) = 1 + beats(dominating) + beats(points)`` where
@@ -219,6 +228,13 @@ def ranks_batch(weights, points, q, *, dominating=0,
       points (scored exactly, same tie tolerance) or an ``int`` count
       trusted as-is — the partitioned rank MWK uses (dominated points
       never beat ``q``, so only ``D`` and ``I`` are scored).
+
+    ``cap`` bounds the work for callers that discard every rank above
+    it (MWK's ``k'max`` pruning): ``points`` are then counted in
+    blocks of :data:`CAP_BLOCK_ROWS` rows, in order, and a weight row
+    stops being scored once its running rank exceeds ``cap``.  A
+    returned rank ``<= cap`` is exact; a rank above ``cap`` only
+    promises to exceed it (see :func:`_capped_beats`).
 
     Returns an ``(m,)`` int64 array.
     """
@@ -237,8 +253,50 @@ def ranks_batch(weights, points, q, *, dominating=0,
                                    chunk_floats=chunk_floats)
     if pts.shape[0] == 0:
         return base
+    if cap is not None:
+        return _capped_beats(wts, pts, q_scores - eps, base, int(cap))
     return base + beats_count(wts, pts, q_scores, eps=eps,
                               chunk_floats=chunk_floats)
+
+
+def _capped_beats(wts: np.ndarray, pts: np.ndarray,
+                  thresholds: np.ndarray, base: np.ndarray,
+                  cap: int) -> np.ndarray:
+    """``base + beats(pts)`` per weight row, stopping rows past ``cap``.
+
+    Exactness: a beater count only grows as blocks are added, so a
+    row whose running rank already exceeds ``cap`` ends above it
+    whatever the remaining blocks hold, and a row that is never
+    retired has been scored against every point, each score computed
+    by the same matrix product and compared against the same
+    threshold as the uncapped kernel.  The score and comparison
+    scratch is allocated once per call (:data:`CAP_SCRATCH_FLOATS`
+    entries) and every block is written into it in place.
+    """
+    ranks = base.copy()
+    n = len(pts)
+    width = min(CAP_BLOCK_ROWS, n)
+    height = max(1, min(len(wts), CAP_SCRATCH_FLOATS // width))
+    scores = np.empty(height * width, dtype=np.float64)
+    beaten = np.empty(height * width, dtype=bool)
+    for row0 in range(0, len(wts), height):
+        live = np.arange(row0, min(row0 + height, len(wts)))
+        live = live[ranks[live] <= cap]
+        w, thr = wts[live], thresholds[live, None]
+        for start in range(0, n, width):
+            if not len(live):
+                break
+            block = pts[start:start + width]
+            shape = (len(live), len(block))
+            out = scores[:shape[0] * shape[1]].reshape(shape)
+            hit = beaten[:out.size].reshape(shape)
+            np.matmul(w, block.T, out=out)
+            np.less(out, thr, out=hit)
+            ranks[live] += np.count_nonzero(hit, axis=1)
+            alive = ranks[live] <= cap
+            if not alive.all():
+                live, w, thr = live[alive], w[alive], thr[alive]
+    return ranks
 
 
 def beats_count(weights, points, q_scores, *, eps: float = RANK_EPS,

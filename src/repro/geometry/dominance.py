@@ -49,25 +49,42 @@ def incomparable(a, b) -> bool:
     return not dominates(a, b) and not dominates(b, a)
 
 
+def _side_masks(points, q) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``points``: is some coordinate below ``q``'s, and is
+    some coordinate above.
+
+    Every dominance relation to ``q`` is a combination of the two
+    (``a`` dominates ``q`` iff below-somewhere and never above).  The
+    masks are built one coordinate column at a time into preallocated
+    booleans, several times faster than ``np.all``/``np.any`` over an
+    ``(n, d)`` comparison at low ``d``.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    qv = np.asarray(q, dtype=np.float64)
+    n = pts.shape[0]
+    below = np.zeros(n, dtype=bool)
+    above = np.zeros(n, dtype=bool)
+    scratch = np.empty(n, dtype=bool)
+    for j in range(pts.shape[1]):
+        column = pts[:, j]
+        below |= np.less(column, qv[j], out=scratch)
+        above |= np.greater(column, qv[j], out=scratch)
+    return below, above
+
+
 def dominates_mask(points, q) -> np.ndarray:
     """Vectorized: which rows of ``points`` dominate the point ``q``.
 
     Returns a boolean mask of length ``len(points)``.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    qv = np.asarray(q, dtype=np.float64)
-    le = pts <= qv
-    lt = pts < qv
-    return np.all(le, axis=1) & np.any(lt, axis=1)
+    below, above = _side_masks(points, q)
+    return below & ~above
 
 
 def dominated_by_mask(points, q) -> np.ndarray:
     """Vectorized: which rows of ``points`` are dominated *by* ``q``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    qv = np.asarray(q, dtype=np.float64)
-    ge = pts >= qv
-    gt = pts > qv
-    return np.all(ge, axis=1) & np.any(gt, axis=1)
+    below, above = _side_masks(points, q)
+    return above & ~below
 
 
 def dominance_partition(points, q):
@@ -79,20 +96,18 @@ def dominance_partition(points, q):
     * ``S`` — indices dominated by ``q`` or coinciding with it (never
       strictly outrank it).
 
-    This is the vectorized core of the paper's ``FindIncom``.
+    This is the vectorized core of the paper's ``FindIncom``.  Each
+    index array is ascending.
 
     Returns
     -------
     tuple of numpy.ndarray
         ``(dominating_idx, incomparable_idx, dominated_idx)``.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    dom = dominates_mask(pts, q)
-    sub = dominated_by_mask(pts, q)
-    equal = np.all(pts == np.asarray(q, dtype=np.float64), axis=1)
-    inc = ~(dom | sub | equal)
-    idx = np.arange(len(pts))
-    return idx[dom], idx[inc], idx[sub | equal]
+    below, above = _side_masks(points, q)
+    return (np.flatnonzero(below & ~above),
+            np.flatnonzero(below & above),
+            np.flatnonzero(~below))
 
 
 def pareto_front_mask(points) -> np.ndarray:

@@ -18,6 +18,8 @@ exposes its root node, child MBR arrays, and node-access accounting.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,19 @@ def compacted_row_map(n: int, removed_rows) -> np.ndarray:
     row_map = np.full(n, -1, dtype=np.int64)
     row_map[keep] = np.arange(int(keep.sum()))
     return row_map
+
+
+def sorted_unique_rows(rows) -> np.ndarray:
+    """Distinct row indices of ``rows``, ascending, as int64.
+
+    ``np.unique`` without its cost on the mutation path: its first
+    call in a process imports ``numpy.ma`` (20–30 ms), which would
+    otherwise land on a daemon's first catalogue mutation.
+    """
+    arr = np.sort(np.asarray(rows, dtype=np.int64).reshape(-1))
+    if arr.size > 1:
+        arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
+    return arr
 
 
 def default_capacity(dim: int, *, page_size: int = PAGE_SIZE_BYTES) -> int:
@@ -188,10 +203,8 @@ class RTree:
             Number of rows appended at the tail of ``points``.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        removed = np.unique(np.asarray(removed_rows,
-                                       dtype=np.int64).reshape(-1))
-        updated = np.unique(np.asarray(updated_rows,
-                                       dtype=np.int64).reshape(-1))
+        removed = sorted_unique_rows(removed_rows)
+        updated = sorted_unique_rows(updated_rows)
         if pts.ndim != 2 or pts.shape[1] != parent.dim:
             raise ValueError(
                 f"patched tree needs (n, {parent.dim}) points, got "
@@ -217,14 +230,17 @@ class RTree:
 
         # Pull the removed and updated entries out of their leaves.
         evicted = np.concatenate([removed, updated])
+        touched: set[int] = set()
         if len(evicted):
             pull = set(int(i) for i in evicted)
             for node in tree.iter_nodes():
                 if node.is_leaf and pull:
                     kept = [pid for pid in node.point_ids
                             if pid not in pull]
-                    pull.difference_update(node.point_ids)
-                    node.point_ids = kept
+                    if len(kept) < len(node.point_ids):
+                        touched.add(id(node))
+                        pull.difference_update(node.point_ids)
+                        node.point_ids = kept
             if pull:   # pragma: no cover - defensive
                 raise ValueError(f"rows {sorted(pull)} not found in "
                                  "the parent tree")
@@ -239,7 +255,8 @@ class RTree:
         else:
             row_map = np.arange(len(parent), dtype=np.int64)
 
-        root = _drop_empty_and_refresh(tree.root, tree.points)
+        root, _ = _drop_empty_and_refresh(tree.root, tree.points,
+                                          touched)
         if root is None:
             # The delta touched every surviving point (e.g. a whole-
             # catalogue update): nothing is left to patch around, so
@@ -597,22 +614,30 @@ class RTree:
         current = np.prod(uppers - lowers, axis=1)
         grown = np.prod(np.maximum(uppers, point)
                         - np.minimum(lowers, point), axis=1)
-        best = node.children[
-            int(np.lexsort((current, grown - current))[0])]
+        slot = int(np.lexsort((current, grown - current))[0])
+        best = node.children[slot]
         sibling = self._insert_into(best, pid)
-        if sibling is not None:
-            node.children.append(sibling)
-            if len(node.children) > self.capacity:
-                overflow = self._split_internal(node)
-                node.refresh_arrays(self.points)
-                return overflow
+        if sibling is None:
+            # Only the chosen child's box grew, to its old box plus
+            # the point: patch that row and widen this node's box —
+            # the values a full refresh_arrays would recompute.
+            lowers[slot] = best.mbr.lower
+            uppers[slot] = best.mbr.upper
+            node.mbr = MBR(np.minimum(node.mbr.lower, best.mbr.lower),
+                           np.maximum(node.mbr.upper, best.mbr.upper))
+            return None
+        node.children.append(sibling)
+        if len(node.children) > self.capacity:
+            overflow = self._split_internal(node)
+            node.refresh_arrays(self.points)
+            return overflow
         node.refresh_arrays(self.points)
         return None
 
     def _split_leaf(self, node: Node) -> Node:
         ids = node.point_ids
-        group_a, group_b = _quadratic_split(
-            [MBR.of_point(self.points[i]) for i in ids])
+        pts = self.points[ids]
+        group_a, group_b = _quadratic_split(pts, pts)
         sibling = Node(is_leaf=True)
         node.point_ids = [ids[i] for i in group_a]
         sibling.point_ids = [ids[i] for i in group_b]
@@ -622,7 +647,9 @@ class RTree:
 
     def _split_internal(self, node: Node) -> Node:
         children = node.children
-        group_a, group_b = _quadratic_split([c.mbr for c in children])
+        group_a, group_b = _quadratic_split(
+            np.array([c.mbr.lower for c in children]),
+            np.array([c.mbr.upper for c in children]))
         sibling = Node(is_leaf=False)
         node.children = [children[i] for i in group_a]
         sibling.children = [children[i] for i in group_b]
@@ -632,52 +659,71 @@ class RTree:
 
 
 def _copy_structure(node: Node) -> Node:
-    """Copy a subtree's shape (ids and child lists, not the cached
-    MBR arrays — the patch refreshes those after editing)."""
+    """Copy a subtree: ids, child lists and the cached MBR arrays
+    (copied, so inserts may patch them in place; the frozen ``MBR``
+    values are shared).  The patch then refreshes only the nodes it
+    edits."""
     clone = Node(is_leaf=node.is_leaf)
+    clone.mbr = node.mbr
     if node.is_leaf:
         clone.point_ids = list(node.point_ids)
+        clone.child_lowers = clone.child_uppers = node.child_lowers
     else:
         clone.children = [_copy_structure(child)
                           for child in node.children]
+        clone.child_lowers = node.child_lowers.copy()
+        clone.child_uppers = node.child_uppers.copy()
     return clone
 
 
-def _drop_empty_and_refresh(node: Node,
-                            points: np.ndarray) -> Node | None:
-    """Post-order: prune emptied nodes, rebuild MBRs bottom-up.
+def _drop_empty_and_refresh(node: Node, points: np.ndarray,
+                            touched: set[int],
+                            ) -> tuple[Node | None, bool]:
+    """Post-order: prune emptied nodes, rebuild MBRs bottom-up along
+    the paths to the ``touched`` leaves (by ``id``).
 
     Returns the (possibly pruned) node, or ``None`` when the subtree
-    holds no points at all.
+    holds no points at all, and whether the subtree changed.
+    Untouched subtrees keep their copied boxes: their points (and so
+    their coordinates, whatever their renumbered ids) are unchanged.
     """
     if node.is_leaf:
         if not node.point_ids:
-            return None
+            return None, True
+        if id(node) in touched:
+            node.refresh_arrays(points)
+            return node, True
+        return node, False
+    kept, changed = [], False
+    for child in node.children:
+        sub, sub_changed = _drop_empty_and_refresh(child, points,
+                                                   touched)
+        changed |= sub_changed
+        if sub is not None:
+            kept.append(sub)
+    if not kept:
+        return None, True
+    if changed:
+        node.children = kept
         node.refresh_arrays(points)
-        return node
-    node.children = [
-        child for child in
-        (_drop_empty_and_refresh(c, points) for c in node.children)
-        if child is not None]
-    if not node.children:
-        return None
-    node.refresh_arrays(points)
-    return node
+    return node, changed
 
 
-def _quadratic_split(boxes: list[MBR]) -> tuple[list[int], list[int]]:
-    """Guttman's quadratic split over a list of entry MBRs.
+def _quadratic_split(lowers: np.ndarray, uppers: np.ndarray,
+                     ) -> tuple[list[int], list[int]]:
+    """Guttman's quadratic split over entry boxes ``[lowers[i],
+    uppers[i]]``.
 
     Returns two index groups, each non-empty and at most
-    ``len(boxes) - 1`` long.  The O(n²) seed-pair search runs as one
+    ``len(lowers) - 1`` long.  The O(n²) seed-pair search runs as one
     broadcast instead of a Python double loop (ties resolve to the
-    same first pair the loop picked), keeping node splits cheap on
-    the catalogue patch path, where clustered re-inserts split the
-    same leaf repeatedly.
+    same first pair the loop picked), and the sequential assignment
+    runs on Python floats — the same IEEE products, maxima and minima
+    as numpy's, without a numpy call per entry — keeping node splits
+    cheap on the catalogue patch path, where clustered re-inserts
+    split the same leaf repeatedly.
     """
-    n = len(boxes)
-    lowers = np.array([box.lower for box in boxes])
-    uppers = np.array([box.upper for box in boxes])
+    n = len(lowers)
     volumes = np.prod(uppers - lowers, axis=1)
     merged = np.prod(
         np.maximum(uppers[:, None, :], uppers[None, :, :])
@@ -691,34 +737,40 @@ def _quadratic_split(boxes: list[MBR]) -> tuple[list[int], list[int]]:
     if seed_a > seed_b:   # pragma: no cover - symmetric safeguard
         seed_a, seed_b = seed_b, seed_a
     group_a, group_b = [int(seed_a)], [int(seed_b)]
-    lo_a, hi_a = lowers[seed_a], uppers[seed_a]
-    lo_b, hi_b = lowers[seed_b], uppers[seed_b]
-    vol_a = volumes[seed_a]
-    vol_b = volumes[seed_b]
+    low_rows, up_rows = lowers.tolist(), uppers.tolist()
+    lo_a, hi_a = low_rows[seed_a], up_rows[seed_a]
+    lo_b, hi_b = low_rows[seed_b], up_rows[seed_b]
+    vol_a = float(volumes[seed_a])
+    vol_b = float(volumes[seed_b])
     rest = [i for i in range(n) if i not in (seed_a, seed_b)]
     min_fill = max(1, n // 3)
     for position, idx in enumerate(rest):
+        lo, hi = low_rows[idx], up_rows[idx]
         remaining = len(rest) - position
         if len(group_a) + remaining <= min_fill:
             take_a = True
         elif len(group_b) + remaining <= min_fill:
             take_a = False
         else:
-            grow_a = np.prod(np.maximum(hi_a, uppers[idx])
-                             - np.minimum(lo_a, lowers[idx])) - vol_a
-            grow_b = np.prod(np.maximum(hi_b, uppers[idx])
-                             - np.minimum(lo_b, lowers[idx])) - vol_b
+            grow_a = _union_volume(lo_a, hi_a, lo, hi) - vol_a
+            grow_b = _union_volume(lo_b, hi_b, lo, hi) - vol_b
             take_a = grow_a < grow_b or (grow_a == grow_b
                                          and len(group_a)
                                          <= len(group_b))
         if take_a:
             group_a.append(idx)
-            lo_a = np.minimum(lo_a, lowers[idx])
-            hi_a = np.maximum(hi_a, uppers[idx])
-            vol_a = np.prod(hi_a - lo_a)
+            lo_a = list(map(min, lo_a, lo))
+            hi_a = list(map(max, hi_a, hi))
+            vol_a = math.prod(map(operator.sub, hi_a, lo_a))
         else:
             group_b.append(idx)
-            lo_b = np.minimum(lo_b, lowers[idx])
-            hi_b = np.maximum(hi_b, uppers[idx])
-            vol_b = np.prod(hi_b - lo_b)
+            lo_b = list(map(min, lo_b, lo))
+            hi_b = list(map(max, hi_b, hi))
+            vol_b = math.prod(map(operator.sub, hi_b, lo_b))
     return group_a, group_b
+
+
+def _union_volume(lo_a, hi_a, lo_b, hi_b) -> float:
+    """Volume of the smallest box covering two boxes (float lists)."""
+    return math.prod(map(operator.sub, map(max, hi_a, hi_b),
+                         map(min, lo_a, lo_b)))

@@ -166,7 +166,10 @@ class EndpointStats:
     total_seconds: float = 0.0
     max_seconds: float = 0.0
 
-    def as_dict(self) -> dict:
+    def as_dict(self, uptime: float) -> dict:
+        """The aggregates, with ``throughput_rps`` as requests per
+        second of the server's ``uptime`` (not ``1 / mean``, which
+        is a service rate that ignores idle time and concurrency)."""
         mean = (self.total_seconds / self.requests
                 if self.requests else 0.0)
         return {
@@ -175,7 +178,8 @@ class EndpointStats:
             "total_seconds": self.total_seconds,
             "mean_seconds": mean,
             "max_seconds": self.max_seconds,
-            "throughput_rps": (1.0 / mean) if mean > 0 else 0.0,
+            "throughput_rps": (self.requests / uptime
+                               if uptime > 0 else 0.0),
         }
 
 
@@ -198,11 +202,12 @@ class ServiceStats:
             stats.max_seconds = max(stats.max_seconds, seconds)
 
     def snapshot(self) -> dict:
+        uptime = time.time() - self.started
         with self._lock:
-            endpoints = {name: stats.as_dict() for name, stats
+            endpoints = {name: stats.as_dict(uptime) for name, stats
                          in sorted(self._endpoints.items())}
         return {
-            "uptime_seconds": time.time() - self.started,
+            "uptime_seconds": uptime,
             "endpoints": endpoints,
         }
 
@@ -336,6 +341,11 @@ class WhyNotRequestHandler(BaseHTTPRequestHandler):
     """Routes requests against the owning server's registry."""
 
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every connection.  A kept-alive HTTP/1.1
+    #: client acknowledges late (delayed ACK), and Nagle's algorithm
+    #: would hold any small segment sent behind an unacknowledged one
+    #: until that ACK arrives — ~40 ms per response.
+    disable_nagle_algorithm = True
     server: "WhyNotServer"
 
     # -- plumbing ------------------------------------------------------
@@ -352,8 +362,14 @@ class WhyNotRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":   # a bare body
+            self.wfile.write(body)
+            return
+        # Headers and body leave in one write (what end_headers()
+        # would flush, with the body appended): one segment per small
+        # response instead of two.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _drain_body(self) -> None:
         """Consume an unused request body.

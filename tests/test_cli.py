@@ -178,6 +178,39 @@ class TestServe:
             proc.terminate()
             proc.wait(timeout=30)
 
+    def test_drain_survives_closed_stdout(self, tmp_path):
+        """The reader of the daemon's stdout goes away, then SIGTERM:
+        the status lines the drain prints must not fail the exit."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]]
+                          if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "-n", "200", "--seed", "2", "--name", "pipe"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, cwd=tmp_path, env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if "serving on" in line:
+                    break
+                assert line, proc.stderr.read()
+            else:
+                pytest.fail("server never announced its port")
+            proc.stdout.close()
+            proc.terminate()
+            code = proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert code == 0, stderr
+        assert "BrokenPipeError" not in stderr, stderr
+
 
 class TestCatalogueCLI:
     """``wqrtq catalogue show/add/update/remove`` against an

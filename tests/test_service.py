@@ -10,8 +10,12 @@ to exercise the server's pre-schema wire compatibility).
 
 from __future__ import annotations
 
+import http.client
+import json
 import socket
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from repro.service import (
     ServiceError,
     create_server,
 )
+from repro.service.server import ServiceStats
 
 N = 400
 D = 3
@@ -437,6 +442,17 @@ class TestStatsEndpoint:
         cache_stats = {e["name"]: e["stats"]
                        for e in stats["catalogues"]}
         assert cache_stats["demo"]["findincom_traversals"] >= 0
+
+    def test_throughput_is_requests_per_uptime(self):
+        # 5 requests of 10 ms each over 10 s of uptime: 0.5 requests
+        # per second — not 1 / mean = 100, a service rate.
+        stats = ServiceStats(started=time.time() - 10.0)
+        for _ in range(5):
+            stats.record("POST /answer", 0.010)
+        snapshot = stats.snapshot()
+        rps = snapshot["endpoints"]["POST /answer"]["throughput_rps"]
+        assert rps == pytest.approx(5 / snapshot["uptime_seconds"])
+        assert 0.4 < rps < 0.6
 
     def test_errors_are_counted(self, client):
         before = client.stats()["endpoints"].get(
@@ -954,3 +970,34 @@ class TestSchemaNegotiationMatrix:
         assert err.value.status == 400
         with pytest.raises(ValueError, match="schema_version"):
             Answer.from_dict({"schema_version": SCHEMA_VERSION + 1})
+
+
+class TestKeepAlive:
+    def test_kept_alive_round_trips_beat_delayed_ack_floor(
+            self, server, points):
+        """Round trips of a trivial question over one kept-alive
+        connection take a few ms.  Two writes per response would let
+        Nagle's algorithm wait for the client's delayed ACK, ~40 ms
+        on every response."""
+        question = make_typed(points, 3, id="keep-alive")
+        body = json.dumps({"catalogue": "demo",
+                           "question": question.to_dict()}).encode()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=30)
+        try:
+            latencies = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("POST", "/answer", body=body, headers={
+                    "Content-Type": "application/json"})
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200, payload
+                assert payload["item"]["error"] is None, payload
+        finally:
+            conn.close()
+        p50 = statistics.median(latencies[2:])
+        assert p50 < 0.020, (
+            f"kept-alive p50 {p50 * 1000:.1f} ms is near the 40 ms "
+            f"delayed-ACK floor")
