@@ -129,7 +129,8 @@ def run_cell(cell: ExperimentCell,
 
     The three algorithms share one :class:`DatasetContext` (the index
     is built once, outside the timed region); the ``FindIncom``
-    traversal stays inside the timed region, as in the paper's setup.
+    traversal stays inside the timed region, as in the paper's setup,
+    and MQP finds its k-th points by BRS on that index (Algorithm 1).
     """
     context = build_context(cell)
     query = build_workload(cell, context=context)
@@ -138,7 +139,7 @@ def run_cell(cell: ExperimentCell,
 
     if "MQP" in algorithms:
         start = time.perf_counter()
-        res = modify_query_point(query)
+        res = modify_query_point(query, use_rtree=True)
         result.times["MQP"] = time.perf_counter() - start
         result.penalties["MQP"] = res.penalty
 

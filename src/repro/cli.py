@@ -23,7 +23,7 @@ Subcommands
 ``serve``
     Run the long-lived JSON-over-HTTP daemon
     (:mod:`repro.service`): named catalogues — generated and/or
-    loaded from ``.npz`` archives — each behind one warmed,
+    loaded from ``.npz`` archives — each behind one
     LRU-bounded context, answering ``/answer`` and ``/batch``
     requests until interrupted.  ``--workers N`` executes in ``N``
     worker processes attached to zero-copy shared-memory snapshots;
@@ -60,8 +60,9 @@ Subcommands
     the schema lock, ``--list-rules`` documents every contract.
 
 Every subcommand builds one ``DatasetContext`` per catalogue and runs
-all its queries through it, so the R-tree and ``FindIncom`` partitions
-are paid once.  Algorithm choices are enumerated from the
+all its queries through it, so ``FindIncom`` partitions (and, where a
+subcommand traverses one, the R-tree) are paid once.  Algorithm
+choices are enumerated from the
 :mod:`~repro.core.registry` algorithm registry — a newly registered
 refinement shows up in every subcommand without CLI changes.
 
@@ -171,7 +172,7 @@ def _cmd_refine(args) -> int:
                           d=args.dim, k=args.k, rank=args.rank,
                           wm_size=args.wm_size,
                           sample_size=args.sample_size, seed=args.seed)
-    session = Session(context=build_context(cell), warm=False)
+    session = Session(context=build_context(cell))
     query = build_workload(cell, context=session.context)
     print(f"workload: {cell.label()}")
     print(f"q = {np.round(query.q, 4).tolist()}")

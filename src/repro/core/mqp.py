@@ -4,8 +4,10 @@ Given a why-not question, MQP finds the refined product ``q'`` closest
 to ``q`` (Eq. 1) whose reverse top-k result contains every why-not
 vector:
 
-1. For each why-not vector ``w_i``, retrieve its top-k-th point ``p_i``
-   by progressive branch-and-bound search (BRS) on the R-tree.
+1. For each why-not vector ``w_i``, retrieve its top-k-th point
+   ``p_i``.  The paper uses progressive branch-and-bound search (BRS)
+   on the R-tree; by default one gemv scan per vector finds the same
+   point with the same score bits and needs no index.
 2. Solve the quadratic program
 
        min ||q' - q||²
@@ -32,7 +34,7 @@ from repro.qp.solver import QPStatus
 
 
 def modify_query_point(query: WhyNotQuery, *,
-                       use_rtree: bool = True,
+                       use_rtree: bool = False,
                        kth: tuple[np.ndarray, np.ndarray] | None = None,
                        ) -> MQPResult:
     """Run Algorithm 1 and return the refined query point.
@@ -42,8 +44,10 @@ def modify_query_point(query: WhyNotQuery, *,
     query:
         The validated why-not question.
     use_rtree:
-        When False, the k-th points are found by sequential scan
-        instead of BRS (ablation hook; identical results).
+        When True, the k-th points are found by BRS on the query's
+        R-tree (built on first use) instead of the default scan —
+        the paper's method, kept for the figures and the ablation;
+        identical results.
     kth:
         Optional precomputed ``(ids, scores)`` of the per-vector k-th
         ranked points (shape ``(m,)`` each), e.g. from a sharded
@@ -100,7 +104,7 @@ class MQPStepper:
     min_chunk = 1
     round_chunk = 1
 
-    def __init__(self, query: WhyNotQuery, *, use_rtree: bool = True,
+    def __init__(self, query: WhyNotQuery, *, use_rtree: bool = False,
                  kth: tuple[np.ndarray, np.ndarray] | None = None):
         self._query = query
         self._use_rtree = use_rtree

@@ -1012,11 +1012,11 @@ def summarize_answers(answers, *, wall_seconds: float | None = None,
 # floats, same tie-breaks, byte-identical Answer.
 #
 # Byte-identity fine print: shard scores use the per-weight gemv form
-# ``points @ w`` — the same BLAS call BRS applies to leaf rows — not
-# the batched gemm of ``kth_scores_batch``, because gemm and gemv can
-# legitimately disagree in the last bits (see RANK_EPS in
-# :mod:`repro.engine.kernels`) and the merged k-th *score* feeds the
-# MQP quadratic program verbatim.
+# ``points @ w`` — the same BLAS call BRS applies to leaf rows and the
+# whole-catalogue k-th scan (``kth_scores_batch``) to every row — not
+# a batched gemm, because gemm and gemv can legitimately disagree in
+# the last bits (see RANK_EPS in :mod:`repro.engine.kernels`) and the
+# merged k-th *score* feeds the MQP quadratic program verbatim.
 # ---------------------------------------------------------------------------
 
 
@@ -1077,19 +1077,12 @@ def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
 def shard_plan(question: Question) -> tuple[str, ...] | None:
     """Which partials a shard must compute for ``question``.
 
-    Returns ``None`` when the question cannot be sharded — the
-    algorithm declares no ``shard_needs``, or an option selects a
-    non-default code path whose floats a merge cannot reproduce
-    (``use_rtree=False`` scores via the batched gemm kernel, which
-    may differ from the shard gemv in the last bits).  Unshardable
-    questions run whole on a single full-snapshot worker.
+    Returns ``None`` when the algorithm declares no ``shard_needs``;
+    such questions run whole on a single full-snapshot worker.  Every
+    k-th-point path (BRS, the scan, the shard merge) scores with the
+    same gemv, so no option makes a question unshardable.
     """
-    needs = get_algorithm(question.algorithm).shard_needs
-    if not needs:
-        return None
-    if question.options.get("use_rtree") is False:
-        return None
-    return needs
+    return get_algorithm(question.algorithm).shard_needs or None
 
 
 def compute_shard_partial(points, start: int,

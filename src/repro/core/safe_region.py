@@ -32,8 +32,8 @@ def kth_points_for(source, why_not, k: int) -> tuple[np.ndarray,
 
     This is phase 1 of Algorithm 1 (lines 1-12): a progressive ranked
     retrieval per why-not vector (BRS on an R-tree source), or one
-    batched k-th-point kernel call
-    (:func:`repro.engine.kernels.kth_scores_batch`) on a raw array.
+    gemv scan per vector (:func:`repro.engine.kernels.kth_scores_batch`)
+    on a raw array.  Both return the same ids and the same score bits.
     """
     wts = np.atleast_2d(np.asarray(why_not, dtype=np.float64))
     if isinstance(source, RTree):

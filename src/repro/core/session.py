@@ -1,8 +1,8 @@
 """Session — the one user-facing facade over the WQRTQ framework.
 
-A :class:`Session` binds one warmed
-:class:`~repro.engine.context.DatasetContext` (catalogue + R-tree +
-LRU partition caches) and answers typed
+A :class:`Session` binds one
+:class:`~repro.engine.context.DatasetContext` (catalogue + LRU
+partition caches) and answers typed
 :class:`~repro.core.protocol.Question` objects through the shared
 executor — interactively (:meth:`ask`), in bulk
 (:meth:`ask_batch`, optionally parallel), or explanatorily
@@ -37,7 +37,7 @@ __all__ = ["Session"]
 
 
 class Session:
-    """Ask why-not questions against one shared, warmed catalogue.
+    """Ask why-not questions against one shared catalogue.
 
     Parameters
     ----------
@@ -59,16 +59,16 @@ class Session:
     penalty_config:
         Tolerance weights α/β/γ/λ (defaults: all 0.5, as in the
         paper's experiments).
-    warm:
-        Build the R-tree at construction (default) so the first
-        question does not pay index construction.
+
+    Answering needs no index.  The R-tree is built on first use by
+    the callers that traverse one — :meth:`explain`,
+    :meth:`reverse_topk` and MQP's ``use_rtree=True`` ablation.
     """
 
     def __init__(self, points=None, *,
                  context: DatasetContext | None = None,
                  catalogue=None,
-                 penalty_config: PenaltyConfig = DEFAULT_PENALTY,
-                 warm: bool = True):
+                 penalty_config: PenaltyConfig = DEFAULT_PENALTY):
         given = sum(x is not None for x in (points, context, catalogue))
         if given == 0:
             raise ValueError("Session needs points, a context or a "
@@ -82,8 +82,6 @@ class Session:
         self._context = context
         self.penalty_config = penalty_config
         self._cost_model = None   # lazy; see ``cost_model``
-        if warm:
-            self.context.tree
 
     # -- introspection -------------------------------------------------
 

@@ -1,11 +1,11 @@
 """Core value types of the WQRTQ framework.
 
 A :class:`WhyNotQuery` bundles everything the three refinement
-algorithms consume — the dataset (with its R-tree), the query point,
-``k``, and the why-not weighting vector set ``Wm`` — after validating
-the paper's preconditions (every ``w in Wm`` must currently exclude
-``q`` from its top-k).  The three result types mirror the outputs of
-Algorithms 1–3.
+algorithms consume — the dataset (and, on demand, its R-tree), the
+query point, ``k``, and the why-not weighting vector set ``Wm`` —
+after validating the paper's preconditions (every ``w in Wm`` must
+currently exclude ``q`` from its top-k).  The three result types
+mirror the outputs of Algorithms 1–3.
 """
 
 from __future__ import annotations
@@ -42,6 +42,12 @@ class WhyNotQuery:
         When True (default) reject vectors that already contain ``q``
         in their reverse top-k result — the paper's precondition
         ``for all w in Wm: q not in TOPk(w)``.
+    context:
+        Optional :class:`~repro.engine.context.DatasetContext` the
+        question was built from (:meth:`DatasetContext.question`).
+        When ``tree`` is omitted, :attr:`rtree` resolves to the
+        context's shared tree on first use instead of building a
+        private one.
     """
 
     points: np.ndarray
@@ -50,6 +56,7 @@ class WhyNotQuery:
     why_not: np.ndarray
     tree: RTree | None = None
     require_missing: bool = True
+    context: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.points = np.atleast_2d(np.asarray(self.points,
@@ -93,7 +100,8 @@ class WhyNotQuery:
     def rtree(self) -> RTree:
         """The R-tree over ``P`` (built on first use)."""
         if self.tree is None:
-            self.tree = RTree(self.points)
+            self.tree = (RTree(self.points) if self.context is None
+                         else self.context.tree)
         return self.tree
 
     def ranks(self) -> np.ndarray:

@@ -331,7 +331,8 @@ class Catalogue:
             keep[rows] = False
             surviving = self._ids[keep]
             snapshot = parent.derive(
-                parent.points[keep], removed_rows=rows,
+                np.compress(keep, parent.points, axis=0),
+                removed_rows=rows,
                 version=parent.version + 1, product_ids=surviving)
             self._removes += len(rows)
             self._commit(snapshot, surviving, "remove", len(rows),

@@ -2,22 +2,24 @@
 
 The paper's workload is inherently multi-query: a manufacturer asks
 many why-not questions (one per product / customer-set pair) against
-one catalogue.  Answering each question from scratch re-pays the two
-expensive per-catalogue artifacts every time:
-
-* the **R-tree** over ``P`` (index construction), and
-* the **FindIncom** dominance partition for each query point (one
-  dominance-mask scan of ``P`` per ``q``).
+one catalogue.  Answering each question from scratch would re-pay the
+**FindIncom** dominance partition of its query point (one dominance-
+mask scan of ``P`` per ``q``) every time.
 
 A :class:`DatasetContext` is the immutable home of one catalogue plus
 lazily-built, cached derivations of it.  Everything downstream —
-:class:`~repro.core.framework.WQRTQ`,
-:class:`~repro.core.batch.WhyNotBatch`, the CLI and the benchmark
-harness — constructs (or receives) one context and shares it, so a
-20-question batch builds the index once and traverses per *distinct*
+:class:`~repro.core.session.Session`, the executor, the service tier,
+the CLI and the benchmark harness — constructs (or receives) one
+context and shares it, so a 20-question batch scans per *distinct*
 product rather than per question.  Cache effectiveness is observable
 through :class:`ContextStats`, which the acceptance tests and the
 ``benchmarks/test_batch_reuse.py`` micro-benchmark assert against.
+
+The **R-tree** over ``P`` is not a serving artifact: answering needs
+no index (MQP's k-th points and FindIncom are scans).  :attr:`tree`
+builds it on first use for the callers that traverse one — the paper
+figures, explanations, reverse top-k and the ``use_rtree`` ablation —
+and :meth:`derive` patches it forward only once it exists.
 
 Thread safety: all caches are guarded by one lock, so a context can be
 shared by the parallel batch executor
@@ -65,7 +67,9 @@ class ContextStats:
     A context *derived* from a parent snapshot (:meth:`DatasetContext
     .derive`, the catalogue mutation path) additionally reports how
     copy-on-write treated the parent's caches: ``tree_patches`` (the
-    R-tree was patched, not rebuilt), ``partitions_inherited`` /
+    parent had built an R-tree, and it was patched rather than
+    rebuilt; serving builds none, so this stays 0 there),
+    ``partitions_inherited`` /
     ``box_caches_inherited`` (entries that survived the epoch check
     and were carried over) and ``partition_invalidations`` /
     ``box_cache_invalidations`` (entries the mutation made stale —
@@ -145,13 +149,19 @@ class DatasetContext:
         Optional stable product id per row (what the catalogue
         lifecycle API addresses mutations by).  Defaults to the row
         index, which is what a standalone context has always meant.
+    copy:
+        Store a read-only copy of ``points`` (default).  ``False``
+        adopts a C-contiguous float64 array as-is and marks it
+        read-only — for a caller handing over a fresh array it no
+        longer writes to, as :meth:`derive` does.
     """
 
     def __init__(self, points, *, tree: RTree | None = None,
                  capacity: int | None = None,
                  max_partitions: int | None = DEFAULT_CACHE_CAP,
                  max_box_caches: int | None = DEFAULT_CACHE_CAP,
-                 version: int = 0, product_ids=None):
+                 version: int = 0, product_ids=None,
+                 copy: bool = True):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("DatasetContext requires a non-empty "
@@ -166,8 +176,10 @@ class DatasetContext:
                 raise ValueError(f"{name} must be positive or None")
         if int(version) < 0:
             raise ValueError(f"version must be >= 0, got {version!r}")
-        self.points = pts.copy()
-        self.points.setflags(write=False)
+        if copy or not pts.flags.c_contiguous:
+            pts = pts.copy()
+        pts.setflags(write=False)
+        self.points = pts
         self._capacity = capacity
         self._tree = tree
         self._lock = threading.Lock()
@@ -206,13 +218,13 @@ class DatasetContext:
         """Reattach a context exported with
         :func:`repro.engine.shm.export_snapshot` — zero-copy.
 
-        The point array, product ids and the R-tree's packed arrays
-        come back as read-only numpy views over the shared segment;
-        the per-``q`` caches start empty and rebuild lazily in this
-        process.  Version, epoch, cache caps and tree capacity are
-        restored from the manifest, so answers computed here are
-        byte-identical to the exporting process's (same data, same
-        tree structure, same stamps).
+        The point array and product ids come back as read-only numpy
+        views over the shared segment; the per-``q`` caches start
+        empty and rebuild lazily in this process, and so does the
+        R-tree, for the rare caller that traverses one.  Version,
+        epoch and cache caps are restored from the manifest, so
+        answers computed here are byte-identical to the exporting
+        process's (same data, same stamps).
 
         The attached segment handle is kept on the context
         (``_shm_segment``) so the mapping outlives every view; it is
@@ -225,11 +237,7 @@ class DatasetContext:
         ctx = object.__new__(cls)
         ctx.points = arrays["points"]
         ctx._capacity = manifest.capacity
-        packed = {key[len("tree."):]: value
-                  for key, value in arrays.items()
-                  if key.startswith("tree.")}
-        ctx._tree = RTree.from_packed(
-            packed, ctx.points, capacity=manifest.tree_capacity)
+        ctx._tree = None
         ctx._lock = threading.Lock()
         ctx.max_partitions = manifest.max_partitions
         ctx.max_box_caches = manifest.max_box_caches
@@ -278,7 +286,12 @@ class DatasetContext:
 
     @property
     def tree(self) -> RTree:
-        """The shared R-tree (built once, on first use)."""
+        """The shared R-tree (built once, on first use).
+
+        Only R-tree traversals need it (paper figures, explanations,
+        reverse top-k, ``use_rtree=True``); nothing on the answering
+        path asks for it.
+        """
         with self._lock:
             if self._tree is None:
                 self._tree = RTree(self.points,
@@ -372,8 +385,9 @@ class DatasetContext:
         the new context is built **copy-on-write** from this one
         rather than from scratch —
 
-        * the new point array is adopted as-is (unchanged rows must
-          carry identical coordinates, which is validated);
+        * the new point array is adopted without a copy and made
+          read-only (unchanged rows must carry identical coordinates,
+          which is validated);
         * the R-tree, if this snapshot has built one, is **patched**
           (:meth:`repro.index.rtree.RTree.patched`) instead of
           re-bulk-loaded, counted in ``stats.tree_patches``;
@@ -444,12 +458,19 @@ class DatasetContext:
         # cache entries and the patched index can never disagree.
         row_map = compacted_row_map(self.n, removed)
 
-        unchanged = row_map >= 0
-        unchanged[updated] = False
-        if not np.array_equal(new_pts[row_map[unchanged]],
-                              self.points[unchanged]):
-            raise ValueError("unchanged rows must carry identical "
-                             "coordinates in the derived snapshot")
+        # Rows that differ from their predecessor must all be listed
+        # in ``updated_rows``.  One elementwise comparison of the
+        # surviving rows (a gather only when rows were removed) finds
+        # them; the differing rows come out sorted, like ``allowed``.
+        kept = (self.points if not len(removed)
+                else np.compress(row_map >= 0, self.points, axis=0))
+        moved = np.flatnonzero(new_pts[:len(kept)] != kept) // self.dim
+        if moved.size:
+            allowed = row_map[updated]
+            at = np.searchsorted(allowed, moved)
+            if at[-1] >= len(allowed) or np.any(allowed[at] != moved):
+                raise ValueError("unchanged rows must carry identical "
+                                 "coordinates in the derived snapshot")
 
         # Every coordinate the mutation touched, old and new: the
         # epoch check below compares cached entries against these.
@@ -479,7 +500,7 @@ class DatasetContext:
             new_pts, tree=tree, capacity=self._capacity,
             max_partitions=self.max_partitions,
             max_box_caches=self.max_box_caches,
-            version=int(version), product_ids=product_ids)
+            version=int(version), product_ids=product_ids, copy=False)
         derived.epoch = self.epoch + 1
         if tree is not None:
             # RTree.patched falls back to a full bulk load when the
@@ -565,12 +586,16 @@ class DatasetContext:
 
     def question(self, q, k: int, why_not, *,
                  require_missing: bool = True):
-        """A :class:`~repro.core.types.WhyNotQuery` bound to this
-        context's shared R-tree."""
+        """A :class:`~repro.core.types.WhyNotQuery` over this context.
+
+        No index is built here: the question's ``rtree`` resolves to
+        this context's shared :attr:`tree` on first use, so only the
+        callers that traverse an R-tree pay for it.
+        """
         from repro.core.types import WhyNotQuery
 
         return WhyNotQuery(points=self.points, q=q, k=k,
-                           why_not=why_not, tree=self.tree,
+                           why_not=why_not, context=self,
                            require_missing=require_missing)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -449,14 +449,9 @@ def _observe_answer(observer, question, answer) -> None:
         pass
 
 
-def _pooled(run, n_items: int, *, workers: int,
-            context: DatasetContext) -> list:
+def _pooled(run, n_items: int, *, workers: int) -> list:
     if workers <= 1 or n_items <= 1:
         return [run(index) for index in range(n_items)]
-    # Build the shared artifacts once, up front: otherwise every
-    # worker would race to be the first tree builder and the losers
-    # would block on the context lock doing nothing.
-    context.tree
     with ThreadPoolExecutor(max_workers=int(workers)) as pool:
         return list(pool.map(run, range(n_items)))
 
@@ -555,8 +550,7 @@ def execute_questions(context: DatasetContext, questions, *,
                                penalty_config=penalty_config,
                                shared_deadline=shared_deadline)
     else:
-        answers = _pooled(run, len(items), workers=workers,
-                          context=context)
+        answers = _pooled(run, len(items), workers=workers)
     if observer is not None:
         for item, answer in zip(items, answers):
             _observe_answer(observer, item, answer)
@@ -733,7 +727,7 @@ def _execute_triples(context: DatasetContext, questions, algorithm, *,
             rng=np.random.default_rng(seed + index),
             penalty_config=penalty_config)
 
-    return _pooled(run, len(items), workers=workers, context=context)
+    return _pooled(run, len(items), workers=workers)
 
 
 def answer_one(context: DatasetContext, index: int, q, k: int, wm,

@@ -42,6 +42,10 @@ CAP_BLOCK_ROWS = 2048
 #: many booleans); bounds how many weight rows are scored together.
 CAP_SCRATCH_FLOATS = 1 << 19
 
+#: Stride of the score sample that bounds the k-th score before the
+#: exact selection (:func:`_kth_smallest`).
+KTH_SAMPLE_STRIDE = 32
+
 
 def _as2d(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -94,6 +98,23 @@ def score_matrix(weights, points, *, chunk_floats: int = CHUNK_FLOATS,
 # Top-k selection
 # ----------------------------------------------------------------------
 
+def row_scores(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``rows @ w``, with the bits each row gets inside a larger gemv.
+
+    The k-th point paths — the whole-catalogue scan
+    (:func:`kth_scores_batch`), BRS leaves and shard rows
+    (:func:`topk_pairs`) — must score a row identically wherever it
+    sits, because the k-th score feeds the MQP quadratic program
+    verbatim.  A gemv's per-row arithmetic does not depend on the
+    block height (OpenBLAS, d <= 5; property-tested), but numpy hands
+    a one-row product to a dot whose rounding can differ, so a single
+    row is scored as a two-row block.
+    """
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ w)[:1]
+    return rows @ w
+
+
 def topk_ids(points, w, k: int) -> np.ndarray:
     """Ids of the k best-scoring rows of ``points`` under ``w``.
 
@@ -124,11 +145,11 @@ def topk_pairs(points, weights, k: int, *, id_base: int = 0,
     The shard-local half of the scatter-gather k-th-point merge: each
     row of the result is that weight's exact ``(score, id)``-ordered
     prefix, so the union of per-shard prefixes contains the global
-    top-k.  Scores deliberately use the per-weight gemv ``points @ w``
-    — the same BLAS call BRS applies to leaf rows — because the
-    batched gemm of :func:`kth_scores_batch` can differ from it in the
-    last bits and the merged k-th score is compared and reused
-    verbatim.  ``id_base`` offsets row ids into the global catalogue.
+    top-k.  Scores use the per-weight gemv of :func:`row_scores` —
+    as BRS scores leaf rows and :func:`kth_scores_batch` the whole
+    catalogue — because a batched gemm can differ from it in the last
+    bits and the merged k-th score is compared and reused verbatim.
+    ``id_base`` offsets row ids into the global catalogue.
 
     Returns ``(scores, ids)`` of shape ``(m, min(k, n))`` each.
     """
@@ -141,7 +162,7 @@ def topk_pairs(points, weights, k: int, *, id_base: int = 0,
     out_scores = np.empty((len(wts), kk), dtype=np.float64)
     out_ids = np.empty((len(wts), kk), dtype=np.int64)
     for i, w in enumerate(wts):
-        scores = pts @ w
+        scores = row_scores(pts, w)
         if kk < n:
             kth_score = np.partition(scores, kk - 1)[kk - 1]
             below = np.nonzero(scores < kth_score)[0]
@@ -156,44 +177,57 @@ def topk_pairs(points, weights, k: int, *, id_base: int = 0,
     return out_scores, out_ids
 
 
-def kth_scores_batch(points, weights, k: int, *,
-                     chunk_floats: int = CHUNK_FLOATS,
+def kth_scores_batch(points, weights, k: int,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Id and score of the k-th ranked point under *each* weight row.
 
-    The batched form of ``kth_point_scan`` / ``BRSEngine.kth_point``:
-    one chunked score matrix and one ``argpartition`` per block replace
-    a progressive search per vector.  Ties resolve by ``(score, id)``
-    like everything else.
+    The scan form of ``BRSEngine.kth_point`` (Algorithm 1, lines
+    1-12), bit for bit: per weight row one gemv ``points @ w``
+    (:func:`row_scores`, as BRS scores its leaf rows and
+    :func:`topk_pairs` shard rows, so the k-th *score* carries the
+    same bits on every path) — then an order-statistic selection
+    (:func:`_kth_smallest`).  Ties resolve by ``(score, id)`` like
+    everything else.
 
     Returns ``(ids, scores)`` of shape ``(m,)`` each.
     """
-    pts = _as2d(points)
+    if k <= 0:
+        raise ValueError("k must be positive")
+    pts = np.ascontiguousarray(_as2d(points))
     wts = _as2d(weights)
     if len(pts) < k:
         raise ValueError(f"dataset has fewer than k={k} points")
-    if k <= 0:
-        raise ValueError("k must be positive")
     ids = np.empty(len(wts), dtype=np.int64)
     scores = np.empty(len(wts), dtype=np.float64)
-    for start, stop, block in iter_score_blocks(
-            wts, pts, chunk_floats=chunk_floats):
-        # Per row: the k-th score via partition, then the boundary
-        # member by (score, id) explicitly.  argpartition's selected
-        # set is arbitrary for ties that straddle the k-th position,
-        # so the k-th *id* cannot be read off it: among the rows tied
-        # at the k-th score, the correct id is the j-th smallest where
-        # j = k - |{scores strictly below}|.
-        kth_score = np.partition(block, k - 1, axis=1)[:, k - 1]
-        n_below = np.count_nonzero(
-            block < kth_score[:, None], axis=1)
-        tied = block == kth_score[:, None]
-        tie_rank = (k - n_below)[:, None]
-        kth = np.argmax(
-            (np.cumsum(tied, axis=1) == tie_rank) & tied, axis=1)
-        ids[start:stop] = kth
-        scores[start:stop] = kth_score
+    for i, w in enumerate(wts):
+        ids[i], scores[i] = _kth_smallest(row_scores(pts, w), k)
     return ids, scores
+
+
+def _kth_smallest(scores: np.ndarray, k: int) -> tuple[int, float]:
+    """Index and value of the k-th smallest ``(score, index)`` pair.
+
+    A strided sample of :data:`KTH_SAMPLE_STRIDE` first bounds the
+    k-th score from above; only the rows at or below that bound are
+    partitioned.  The bound is exact whenever at least ``k`` rows
+    reach it: every row scoring at or below the k-th score is then a
+    candidate, ties included, and candidates keep their index order.
+    A bound that catches fewer than ``k`` rows falls back to the whole
+    array.  Among the rows tied at the k-th score, the answer is the
+    ``(k - #below)``-th smallest index — the ``(score, id)`` order.
+    """
+    rows = None
+    sample = scores[::KTH_SAMPLE_STRIDE]
+    if len(sample) > 1:
+        pick = min(len(sample) - 1, 2 * (k // KTH_SAMPLE_STRIDE) + 8)
+        bound = np.partition(sample, pick)[pick]
+        candidates = np.flatnonzero(scores <= bound)
+        if len(candidates) >= k:
+            rows, scores = candidates, scores[candidates]
+    kth = np.partition(scores, k - 1)[k - 1]
+    below = np.count_nonzero(scores < kth)
+    tied = int(np.flatnonzero(scores == kth)[k - 1 - below])
+    return (int(rows[tied]) if rows is not None else tied), float(kth)
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,15 @@
 
 The multi-process serving tier (:mod:`repro.service.workers`) must
 hand each worker process the current catalogue snapshot without
-paying a per-worker copy of the point array and R-tree.  This module
-packs a context's immutable artifacts — the product array, the packed
-R-tree (:meth:`repro.index.rtree.RTree.pack`), optional product ids —
-into **one** named ``multiprocessing.shared_memory`` segment, plus a
-small picklable :class:`SnapshotManifest` describing the layout.
-Workers reattach with :func:`attach_snapshot` /
-:meth:`DatasetContext.from_shared`: every array comes back as a
-read-only numpy view over the shared buffer (no data movement), and
-the per-``q`` caches rebuild lazily per process.
+paying a per-worker copy of the point array.  This module copies a
+context's immutable data — the product array and optional product
+ids — into **one** named ``multiprocessing.shared_memory`` segment,
+plus a small picklable :class:`SnapshotManifest` describing the
+layout.  No R-tree is shipped: workers answer by scans, so a publish
+costs one copy of the points and nothing else.  Workers reattach with
+:func:`attach_snapshot` / :meth:`DatasetContext.from_shared`: every
+array comes back as a read-only numpy view over the shared buffer (no
+data movement), and the per-``q`` caches rebuild lazily per process.
 
 Lifecycle
 ---------
@@ -85,8 +85,9 @@ class SnapshotManifest:
 
     Everything a worker needs to rebuild a behaviourally identical
     :class:`~repro.engine.context.DatasetContext`: the segment name
-    and per-array layout, plus the context's version/epoch stamps,
-    cache caps and tree node capacity.
+    and per-array layout (``points``, and ``product_ids`` when the
+    context has them), plus the context's version/epoch stamps, cache
+    caps and the node capacity a lazily built R-tree would use.
     """
 
     segment: str
@@ -95,7 +96,6 @@ class SnapshotManifest:
     version: int
     epoch: int
     capacity: int | None
-    tree_capacity: int
     max_partitions: int | None
     max_box_caches: int | None
 
@@ -117,18 +117,14 @@ def export_snapshot(context, *, name: str | None = None,
                     ) -> SnapshotManifest:
     """Export one context snapshot into a fresh shared segment.
 
-    Forces the context's R-tree build (workers always traverse it),
-    packs it alongside the point array and optional product ids, and
-    copies everything into one named segment.  The segment is owned
-    by this process and recorded for the exit sweep; unlink it with
+    Copies the point array and optional product ids into one named
+    segment; no index is built or shipped.  The segment is owned by
+    this process and recorded for the exit sweep; unlink it with
     :func:`unlink_snapshot` once every consumer detached.
     """
     arrays: dict[str, np.ndarray] = {"points": context.points}
     if context._product_ids is not None:
         arrays["product_ids"] = context.product_ids
-    tree = context.tree
-    for key, value in tree.pack().items():
-        arrays[f"tree.{key}"] = value
 
     specs: list[SharedArraySpec] = []
     offset = 0
@@ -162,7 +158,7 @@ def export_snapshot(context, *, name: str | None = None,
     return SnapshotManifest(
         segment=segment_name, nbytes=nbytes, arrays=tuple(specs),
         version=context.version, epoch=context.epoch,
-        capacity=context._capacity, tree_capacity=tree.capacity,
+        capacity=context._capacity,
         max_partitions=context.max_partitions,
         max_box_caches=context.max_box_caches)
 

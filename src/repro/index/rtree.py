@@ -312,141 +312,6 @@ class RTree:
             self.stats.leaf_accesses += 1
 
     # ------------------------------------------------------------------
-    # Packed serialized form (shared-memory export)
-    # ------------------------------------------------------------------
-
-    def pack(self) -> dict[str, np.ndarray]:
-        """Flatten the tree into a dict of flat numpy arrays.
-
-        The packed form preserves the exact node structure and child
-        order, and ships the same per-node arrays ``refresh_arrays``
-        caches — leaf entry coordinates, stacked child-MBR corners,
-        node MBRs — so a tree rebuilt by :meth:`from_packed` traverses
-        *identically* (same heap keys, same tie-breaks, same node
-        accesses) to this one.  All values are copied out of the live
-        nodes; the arrays are self-contained and relocatable, which is
-        what lets :mod:`repro.engine.shm` place them in a shared
-        segment.
-
-        Layout: nodes are numbered pre-order (children left to
-        right).  ``node_start[i]:node_start[i] + node_count[i]``
-        slices ``leaf_point_ids``/``leaf_entries`` for leaves and
-        ``child_nodes``/``inner_lowers``/``inner_uppers`` for inner
-        nodes.
-        """
-        order: list[Node] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if not node.is_leaf:
-                stack.extend(reversed(node.children))
-        index = {id(node): i for i, node in enumerate(order)}
-
-        n_nodes = len(order)
-        d = self.dim
-        is_leaf = np.empty(n_nodes, dtype=np.int8)
-        start = np.empty(n_nodes, dtype=np.int64)
-        count = np.empty(n_nodes, dtype=np.int64)
-        mbr_lower = np.zeros((n_nodes, d), dtype=np.float64)
-        mbr_upper = np.zeros((n_nodes, d), dtype=np.float64)
-        leaf_ids: list[np.ndarray] = []
-        leaf_entries: list[np.ndarray] = []
-        child_nodes: list[np.ndarray] = []
-        inner_lowers: list[np.ndarray] = []
-        inner_uppers: list[np.ndarray] = []
-        leaf_pos = inner_pos = 0
-        for i, node in enumerate(order):
-            is_leaf[i] = 1 if node.is_leaf else 0
-            if node.mbr is not None:
-                mbr_lower[i] = node.mbr.lower
-                mbr_upper[i] = node.mbr.upper
-            if node.is_leaf:
-                ids = np.asarray(node.point_ids, dtype=np.int64)
-                start[i], count[i] = leaf_pos, len(ids)
-                leaf_pos += len(ids)
-                leaf_ids.append(ids)
-                leaf_entries.append(np.asarray(node.child_lowers,
-                                               dtype=np.float64))
-            else:
-                kids = np.asarray(
-                    [index[id(c)] for c in node.children],
-                    dtype=np.int64)
-                start[i], count[i] = inner_pos, len(kids)
-                inner_pos += len(kids)
-                child_nodes.append(kids)
-                inner_lowers.append(np.asarray(node.child_lowers,
-                                               dtype=np.float64))
-                inner_uppers.append(np.asarray(node.child_uppers,
-                                               dtype=np.float64))
-
-        def _cat(blocks, dtype, width):
-            if blocks:
-                flat = np.concatenate(blocks)
-                return np.ascontiguousarray(flat, dtype=dtype)
-            shape = (0,) if width is None else (0, width)
-            return np.empty(shape, dtype=dtype)
-
-        return {
-            "node_is_leaf": is_leaf,
-            "node_start": start,
-            "node_count": count,
-            "node_mbr_lower": mbr_lower,
-            "node_mbr_upper": mbr_upper,
-            "leaf_point_ids": _cat(leaf_ids, np.int64, None),
-            "leaf_entries": _cat(leaf_entries, np.float64, d),
-            "child_nodes": _cat(child_nodes, np.int64, None),
-            "inner_lowers": _cat(inner_lowers, np.float64, d),
-            "inner_uppers": _cat(inner_uppers, np.float64, d),
-        }
-
-    @classmethod
-    def from_packed(cls, packed: dict, points: np.ndarray, *,
-                    capacity: int) -> "RTree":
-        """Rebuild a tree from :meth:`pack` output, adopting ``points``.
-
-        ``points`` is adopted *without copying* — the zero-copy
-        shared-memory path hands in a read-only view over a shared
-        buffer — and every per-node array is a slice view into the
-        packed arrays, so attaching costs one small Node object per
-        tree node and no data movement.  The rebuilt tree is
-        read-only: traversals are exact replicas of the source tree's,
-        but it must not be mutated (``patched`` derives fresh trees
-        and is unaffected).
-        """
-        points = np.asarray(points, dtype=np.float64)
-        tree = object.__new__(cls)
-        tree.points = points
-        tree.dim = int(points.shape[1])
-        tree.capacity = int(capacity)
-        tree.stats = RTreeStats()
-
-        is_leaf = packed["node_is_leaf"]
-        starts = packed["node_start"]
-        counts = packed["node_count"]
-        nodes = [Node(is_leaf=bool(flag)) for flag in is_leaf]
-        for i, node in enumerate(nodes):
-            a = int(starts[i])
-            b = a + int(counts[i])
-            if node.is_leaf:
-                node.point_ids = packed["leaf_point_ids"][a:b]
-                pts = packed["leaf_entries"][a:b]
-                node.child_lowers = pts
-                node.child_uppers = pts
-                node.mbr = (MBR(packed["node_mbr_lower"][i],
-                                packed["node_mbr_upper"][i])
-                            if b > a else None)
-            else:
-                node.children = [nodes[j]
-                                 for j in packed["child_nodes"][a:b]]
-                node.child_lowers = packed["inner_lowers"][a:b]
-                node.child_uppers = packed["inner_uppers"][a:b]
-                node.mbr = MBR(packed["node_mbr_lower"][i],
-                               packed["node_mbr_upper"][i])
-        tree.root = nodes[0]
-        return tree
-
-    # ------------------------------------------------------------------
     # Queries used directly by tests / examples
     # ------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ questions cheap — but only within one process invocation.  This
 package turns the repro into a long-running service:
 
 * :mod:`repro.service.registry` — :class:`CatalogueRegistry`, named
-  catalogues each owning one warmed, LRU-bounded
+  catalogues each owning one LRU-bounded
   :class:`~repro.engine.context.DatasetContext` (served through a
   cached :class:`~repro.core.session.Session` per catalogue);
 * :mod:`repro.service.server` — a stdlib-only

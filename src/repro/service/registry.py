@@ -2,12 +2,12 @@
 
 A serving process typically fronts a handful of catalogues (one per
 market / data product).  The registry is the single place they are
-loaded, warmed, looked up — and now *mutated*: every registration is
+loaded, looked up — and now *mutated*: every registration is
 wrapped in a :class:`~repro.data.catalogue.Catalogue`, so the HTTP
 daemon can accept product add/update/remove mutations while readers
 keep answering against their pinned snapshots.  Every request for the
-same catalogue name rides the same R-tree and the same LRU-bounded
-partition caches, carried copy-on-write across versions.
+same catalogue name rides the same LRU-bounded partition caches,
+carried copy-on-write across versions.
 
 Thread safety: the registry serves ``ThreadingHTTPServer`` handler
 threads, so *every* access to its maps — registration, lookup,
@@ -37,8 +37,9 @@ class CatalogueRegistry:
     becomes the catalogue's version-0 snapshot), an existing
     :class:`Catalogue` (:meth:`register_catalogue`), or a ``.npz``
     archive written by :func:`repro.data.io.save_dataset`
-    (:meth:`load`).  Registration warms the R-tree by default so the
-    first request does not pay index construction.
+    (:meth:`load`).  Registration builds no index: serving answers by
+    scans, and the R-tree is built lazily for the callers that
+    traverse one (``Session.explain``, ``Session.reverse_topk``).
 
     The pre-catalogue accessors stay: :meth:`get` returns the named
     catalogue's *current snapshot* (a plain
@@ -67,7 +68,7 @@ class CatalogueRegistry:
     # Registration
     # ------------------------------------------------------------------
 
-    def register(self, name: str, points, *, warm: bool = True,
+    def register(self, name: str, points, *,
                  max_partitions: int | None = None,
                  max_box_caches: int | None = None,
                  meta: dict | None = None) -> DatasetContext:
@@ -78,25 +79,21 @@ class CatalogueRegistry:
                             is None else max_partitions),
             max_box_caches=(self.max_box_caches if max_box_caches
                             is None else max_box_caches))
-        self.register_catalogue(name, catalogue, warm=warm, meta=meta)
+        self.register_catalogue(name, catalogue, meta=meta)
         return catalogue.snapshot
 
     def register_context(self, name: str, context: DatasetContext, *,
-                         warm: bool = True,
                          meta: dict | None = None) -> DatasetContext:
         """Adopt an existing context as a catalogue's first snapshot."""
         catalogue = Catalogue(context=context)
-        self.register_catalogue(name, catalogue, warm=warm, meta=meta)
+        self.register_catalogue(name, catalogue, meta=meta)
         return context
 
     def register_catalogue(self, name: str, catalogue: Catalogue, *,
-                           warm: bool = True,
                            meta: dict | None = None) -> Catalogue:
         """Adopt an existing :class:`Catalogue` under ``name``."""
         if not name:
             raise ValueError("catalogue name must be non-empty")
-        if warm:
-            catalogue.snapshot.tree   # build before serving traffic
         with self._lock:
             if name in self._catalogues:
                 raise ValueError(f"catalogue {name!r} already "
@@ -105,7 +102,7 @@ class CatalogueRegistry:
             self._meta[name] = dict(meta or {})
         return catalogue
 
-    def load(self, name: str, path, *, warm: bool = True,
+    def load(self, name: str, path, *,
              max_partitions: int | None = None,
              max_box_caches: int | None = None) -> DatasetContext:
         """Register a catalogue from a ``save_dataset`` archive."""
@@ -113,7 +110,7 @@ class CatalogueRegistry:
 
         points, meta = load_dataset(path)
         meta["path"] = str(Path(path))
-        return self.register(name, points, warm=warm,
+        return self.register(name, points,
                              max_partitions=max_partitions,
                              max_box_caches=max_box_caches, meta=meta)
 
@@ -146,8 +143,7 @@ class CatalogueRegistry:
         with self._lock:
             session = self._sessions.get(name)
             if session is None:
-                # warm=False: registration already built the tree.
-                session = Session(catalogue=catalogue, warm=False)
+                session = Session(catalogue=catalogue)
                 self._sessions[name] = session
             return session
 

@@ -17,6 +17,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.engine.kernels import row_scores
 from repro.index.rtree import Node, RTree
 from repro.topk.scan import RANK_EPS
 
@@ -57,7 +58,7 @@ class BRSEngine:
             node: Node = payload  # type: ignore[assignment]
             tree.record_access(node)
             if node.is_leaf:
-                scores = node.child_lowers @ wv
+                scores = row_scores(node.child_lowers, wv)
                 for pid, sc in zip(node.point_ids, scores):
                     counter += 1
                     heapq.heappush(heap, (float(sc), pid, 0, pid))

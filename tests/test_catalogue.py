@@ -499,7 +499,7 @@ class TestConcurrency:
 
         def reader():
             try:
-                session = Session(catalogue=cat, warm=False)
+                session = Session(catalogue=cat)
                 for _ in range(10):
                     answers = session.ask_batch(questions, seed=1)
                     versions = {a.catalogue_version for a in answers}

@@ -11,6 +11,8 @@ exercised.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -112,17 +114,16 @@ class TestKthScoresBatch:
         for i, w in enumerate(weights):
             pid, sc = engine.kth_point(w, 9)
             assert ids[i] == pid
-            assert scores[i] == pytest.approx(sc, abs=1e-12)
+            assert scores[i] == sc      # same gemv, same bits
 
-    @pytest.mark.parametrize("chunk_floats", [13, 5_000])
-    def test_chunking_is_invisible(self, data, chunk_floats):
+    @pytest.mark.parametrize("stride", [1, 13, 5_000])
+    def test_sample_stride_is_invisible(self, data, stride):
         points, weights, _ = data
         base = kernels.kth_scores_batch(points, weights, k=5)
-        small = kernels.kth_scores_batch(points, weights, k=5,
-                                         chunk_floats=chunk_floats)
-        np.testing.assert_array_equal(base[0], small[0])
-        # Scores may differ in the last ulp across BLAS block shapes.
-        np.testing.assert_allclose(base[1], small[1], rtol=1e-14)
+        with mock.patch.object(kernels, "KTH_SAMPLE_STRIDE", stride):
+            other = kernels.kth_scores_batch(points, weights, k=5)
+        np.testing.assert_array_equal(base[0], other[0])
+        np.testing.assert_array_equal(base[1], other[1])
 
     def test_tie_break_matches_legacy_scan(self):
         # Three identical points: which two argpartition selects is

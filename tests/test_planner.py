@@ -294,14 +294,17 @@ class TestPlan:
                              shards=4, pooled=True)
         assert sharded.path == "scatter-gather"
         assert sharded.shards == 4
-        # use_rtree=False has no shard plan (gemm/gemv float drift),
-        # so the question runs whole on one worker.
-        whole = build_plan(
-            make_typed(points, 3, algorithm="mqp",
-                       options={"use_rtree": False}),
-            n=N, d=D, model=model, workers=4, shards=4, pooled=True)
-        assert whole.path == "worker"
-        assert whole.shards == 1
+        # Either k-th-point path shards: BRS and the scan give the
+        # shard merge's bits (the pooled identity tests check the
+        # answers byte for byte).
+        for use_rtree in (False, True):
+            plan = build_plan(
+                make_typed(points, 3, algorithm="mqp",
+                           options={"use_rtree": use_rtree}),
+                n=N, d=D, model=model, workers=4, shards=4,
+                pooled=True)
+            assert plan.path == "scatter-gather"
+            assert plan.shards == 4
         unsharded = build_plan(make_typed(points, 3, algorithm="mwk"),
                                n=N, d=D, model=model, workers=4,
                                shards=1, pooled=True)

@@ -97,7 +97,8 @@ class TestRegistry:
         assert len(registry) == 2
 
     def test_registration_warms_tree(self, registry):
-        assert registry.get("demo").stats.tree_builds == 1
+        # Registration builds no index: serving answers by scans.
+        assert registry.get("demo").stats.tree_builds == 0
 
     def test_duplicate_name_rejected(self, registry, points):
         with pytest.raises(ValueError, match="already registered"):
@@ -781,13 +782,11 @@ class TestRegistryConcurrency:
             barrier.wait()
             try:
                 for j in range(8):
-                    registry.register(f"cat-{i}-{j}", points[:40],
-                                      warm=False)
+                    registry.register(f"cat-{i}-{j}", points[:40])
                     assert f"cat-{i}-{j}" in registry
                 with pytest.raises(ValueError,
                                    match="already registered"):
-                    registry.register(f"cat-{i}-0", points[:40],
-                                      warm=False)
+                    registry.register(f"cat-{i}-0", points[:40])
             except Exception as exc:   # pragma: no cover
                 errors.append(exc)
 

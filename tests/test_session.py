@@ -57,10 +57,13 @@ class TestConstruction:
             Session(points, context=DatasetContext(points))
 
     def test_warm_builds_tree_once(self, points):
+        # Construction builds no index; the first tree traversal
+        # (explain) builds it once, later ones reuse it.
         session = Session(points)
+        assert session.context.stats.tree_builds == 0
+        session.tree
+        session.tree
         assert session.context.stats.tree_builds == 1
-        cold = Session(points, warm=False)
-        assert cold.context.stats.tree_builds == 0
 
     def test_shared_context_is_adopted(self, points):
         context = DatasetContext(points)

@@ -1,10 +1,10 @@
-"""Shared-memory snapshots: pack/attach identity and lifecycle.
+"""Shared-memory snapshots: export/attach identity and lifecycle.
 
 Satellite acceptance for the multi-process serving tier: a context
 rebuilt from a shared segment must be *behaviourally identical* to
-its source — same answers for every registered algorithm, same R-tree
-traversal order and node-access counts — and the segment lifecycle
-must be leak-free: owned segments are unlinked on demand, swept at
+its source — same answers for every registered algorithm — while the
+segment carries the points (and product ids) only, no R-tree; and the
+segment lifecycle must be leak-free: owned segments are unlinked on demand, swept at
 exit, and attaching never trips Python 3.11's ``resource_tracker``
 into warning about (or destroying) a segment it does not own.
 """
@@ -27,8 +27,6 @@ from repro.engine.shm import (
     sweep_owned_segments,
     unlink_snapshot,
 )
-from repro.index import RTree
-from repro.topk.brs import BRSEngine
 
 D = 3
 
@@ -59,33 +57,15 @@ def make_question(points, j, *, algorithm="mqp", options=None, k=9):
                     options=options or {})
 
 
-class TestPackedTree:
-    def test_from_packed_traversal_identical(self, points):
-        tree = RTree(points, capacity=16)
-        rebuilt = RTree.from_packed(tree.pack(), points, capacity=16)
-        w = preference_set(1, D, seed=3)[0]
-
-        ranked = list(BRSEngine(tree).iter_ranked(w))
-        ranked2 = list(BRSEngine(rebuilt).iter_ranked(w))
-        assert ranked == ranked2
-        # Structural identity, not just output identity: the packed
-        # form must reproduce the same node visit counts.
-        assert tree.stats.node_accesses == rebuilt.stats.node_accesses
-        assert tree.stats.leaf_accesses == rebuilt.stats.leaf_accesses
-
-    def test_from_packed_adopts_points_zero_copy(self, points):
-        tree = RTree(points, capacity=16)
-        rebuilt = RTree.from_packed(tree.pack(), tree.points,
-                                    capacity=16)
-        assert rebuilt.points is tree.points
-
-
 class TestSharedContext:
     def test_manifest_and_views(self, context):
         manifest = export_snapshot(context)
         try:
             assert manifest.version == 7
             assert manifest.n_points == context.n
+            # Tree-free: the segment holds the catalogue data only.
+            assert [spec.key for spec in manifest.arrays] == ["points"]
+            assert context.stats.tree_builds == 0
             arrays, segment = attach_snapshot(manifest)
             try:
                 np.testing.assert_array_equal(arrays["points"],

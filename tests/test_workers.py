@@ -85,16 +85,20 @@ class TestAskIdentity:
         assert expected.ok, expected.error
         assert strip_elapsed(expected) == strip_elapsed(got)
 
-    def test_unshardable_question_runs_whole(self, registry, pool):
-        # use_rtree=False selects the gemm scan path, which
-        # shard_plan refuses (gemv/gemm bit divergence); the pool
-        # must fall back to whole-question execution, identically.
+    @pytest.mark.parametrize("use_rtree", [False, True])
+    def test_use_rtree_question_shards_identically(self, registry,
+                                                   pool, use_rtree):
+        # Both k-th-point paths (the scan and BRS) score with the
+        # shard merge's gemv, so either option scatter-gathers and
+        # the merged answer is byte-identical to the whole one.
         points = registry.get("tie").points
         question = make_question(points, 7, algorithm="mqp", k=9,
-                                 options={"use_rtree": False})
+                                 options={"use_rtree": use_rtree})
+        before = pool.stats()["partials"]
         expected = registry.session("tie").ask(question, seed=2)
         got = pool.ask("tie", question, seed=2)
         assert expected.ok
+        assert pool.stats()["partials"] == before + pool.shards
         assert strip_elapsed(expected) == strip_elapsed(got)
 
     def test_failure_identity(self, registry, pool):
